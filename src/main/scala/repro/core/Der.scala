@@ -69,17 +69,29 @@ object Der {
                      g: DataGraph, iquery: DataFrame, slen: DataFrame, cap: Int): Set[Long] =
     candidateNodes(spark, u, p, context(g, iquery), slen, cap)
 
-  /** [[candidateNodes]] over a prebuilt [[Context]] (batch-friendly). */
+  /** [[candidateNodes]] over a prebuilt [[Context]] (batch-friendly).
+    * `batch` is the pattern batch `u` belongs to: a node that `u` names is
+    * looked up in `p` first, then among the batch's `PatNodeIns` nodes, so
+    * an update may touch a node inserted earlier in its batch.
+    */
   def candidateNodes(spark: SparkSession, u: PatternUpdate, p: PatternGraph,
-                     ctx: Context, slen: DataFrame, cap: Int): Set[Long] =
+                     ctx: Context, slen: DataFrame, cap: Int,
+                     batch: Seq[PatternUpdate] = Nil): Set[Long] = {
+    def label(id: String): String = {
+      val l = p.nodes.find(_.id == id).map(_.label).orElse(
+        batch.collectFirst { case PatNodeIns(n, _) if n.id == id => n.label })
+      require(l.isDefined, s"${u.uid} names pattern node $id, which is neither in the " +
+                           "pattern nor inserted by the batch")
+      l.get
+    }
     u match {
       case PatEdgeIns(PEdge(s, t, bound)) =>
         // Can_RN: match pairs of (s, t) violating the new bound may be removed.
         violations(spark, slen, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._2
       case PatEdgeDel(s, t) =>
         // Can_AN: label candidates currently excluded may become matches.
-        (ctx.labelSet(p.node(s).label) -- ctx.matchSet(s)) ++
-          (ctx.labelSet(p.node(t).label) -- ctx.matchSet(t))
+        (ctx.labelSet(label(s)) -- ctx.matchSet(s)) ++
+          (ctx.labelSet(label(t)) -- ctx.matchSet(t))
       case PatNodeIns(n, _) =>
         // Every node with the new label may enter the result.
         ctx.labelSet(n.label)
@@ -87,9 +99,10 @@ object Der {
         // The node's matches leave the result; the neighbours' excluded
         // label candidates may enter once the constraint disappears.
         ctx.matchSet(id) ++ p.neighbours(id).flatMap { w =>
-          ctx.labelSet(p.node(w).label) -- ctx.matchSet(w)
+          ctx.labelSet(label(w)) -- ctx.matchSet(w)
         }
     }
+  }
 
   /** `Aff_N(U_Di)` from the changed-pair diff of the SLen maintenance. */
   def affectedNodes(changed: DataFrame): Set[Long] =

@@ -50,8 +50,6 @@ object GpnmMethods {
     var passes  = 0
     dUps.foreach { u =>
       val (g2, s2) = Engine.applyDataUpdate(spark, curG, curS, u, ops)
-      // INC-GPNM identifies the affected area of each update before its pass.
-      IncApsp.changedPairs(curS, s2).count()
       curG = g2; curS = s2
       matches = Bgs.run(spark, curG, p, curS, cap); passes += 1
     }
@@ -95,7 +93,7 @@ object GpnmMethods {
     val (curG, curS, affSets) = advanceData(spark, g, slen, dUps, ops)
     val ctx = Der.context(g, iquery)
     // DER-I candidate sets against the original SLen and IQuery (Alg 1).
-    val canSets = pUps.map(u => u -> Der.candidateNodes(spark, u, p, ctx, slen, cap))
+    val canSets = pUps.map(u => u -> Der.candidateNodes(spark, u, p, ctx, slen, cap, pUps))
     // DER-III: pattern-edge insertions cancelled by a covering data update.
     // The coverage gate is a driver set check; the SLen cancellation body
     // is independent of the covering update, so it runs once per U_Pi.

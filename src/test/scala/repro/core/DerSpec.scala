@@ -78,6 +78,19 @@ class DerSpec extends SparkSpec {
     assert(can == Set(3L, 4L)) // te's matches; no constrained neighbours
   }
 
+  test("DER-I: an update may name a node inserted earlier in its batch") {
+    val (_, g, slen) = world
+    val ctx = Der.context(g, iqueryNoEdges)
+    val ins = PatNodeIns(PNode("te2", "TE"), PEdge("pm", "te2", 1))
+    val del = PatEdgeDel("pm", "te2")
+    // te2 has no IQuery matches, so both TEs become addable; pm excludes none.
+    assert(Der.candidateNodes(spark, del, patNoEdges, ctx, slen, cap, Seq(ins, del)) == Set(3L, 4L))
+    val e = intercept[IllegalArgumentException] {
+      Der.candidateNodes(spark, PatEdgeDel("pm", "ghost"), patNoEdges, ctx, slen, cap, Seq(ins))
+    }
+    assert(e.getMessage.contains("ghost"))
+  }
+
   test("DER-II: affected nodes of an edge insert (Example 8 analogue)") {
     val (_, g, slen) = world
     val s2  = IncApsp.insertEdge(slen, 2L, 3L, cap)

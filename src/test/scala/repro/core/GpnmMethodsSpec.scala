@@ -130,4 +130,19 @@ class GpnmMethodsSpec extends SparkSpec {
       LocalRef.gpnm(lgNew.nodes, lgNew.edges, pNew, cap))
     assert(TestKit.collectMatches(ua.squery, pNew)("pm") == Set(1L, 2L))
   }
+
+  test("a batch that deletes the attach edge of a node it inserted: all methods equal LocalRef") {
+    val sc = scenario(107)
+    val at = sc.p.nodes.head
+    val pUps: Seq[PatternUpdate] = Seq(
+      PatNodeIns(PNode("q0", at.label), PEdge("q0", at.id, 2)), PatEdgeDel("q0", at.id))
+    val pNew   = Updates.applyPatternAll(sc.p, pUps)
+    val expect = LocalRef.gpnm(sc.lg.nodes, sc.lg.edges, pNew, cap)
+    val runs = Seq(
+      "INC-GPNM"      -> GpnmMethods.incGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, pUps, cap),
+      "EH-GPNM"       -> GpnmMethods.ehGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, pUps, cap),
+      "UA-GPNM-NoPar" -> GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, pUps, cap, partitioned = false),
+      "UA-GPNM"       -> GpnmMethods.uaGpnm(spark, sc.g, sc.p, sc.iquery, sc.slen, Nil, pUps, cap, partitioned = true))
+    runs.foreach { case (name, r) => assert(TestKit.collectMatches(r.squery, pNew) == expect, name) }
+  }
 }
