@@ -133,7 +133,7 @@ object Harness {
     val tUaFull = (System.nanoTime() - t0ua) / 1e9
     if (verify) {
       val patNew = Updates.applyPatternAll(pattern, w.pUps)
-      val gNew = applyAllData(spark, graph, w.dUps)
+      val gNew = Updates.applyDataAll(spark, graph, w.dUps)
       val (_, expect) = GpnmMethods.scratch(spark, gNew, patNew, Cap)
       val exp = collectResult(expect)
       require(collectResult(uaRes.squery) == exp, s"UA-GPNM result mismatch on ${spec.name}")
@@ -141,15 +141,6 @@ object Harness {
     cleanupExcept(spark, keep)
     MethodTimes(tUaFull, tNoPar, tEh, tInc)
   }
-
-  /** Apply `ΔG_D` to a graph without SLen maintenance (verification path). */
-  def applyAllData(spark: SparkSession, g: DataGraph, dUps: Seq[DataUpdate]): DataGraph =
-    dUps.foldLeft(g) {
-      case (cur, DataEdgeIns(a, b))              => cur.insertEdge(spark, a, b)
-      case (cur, DataEdgeDel(a, b))              => cur.deleteEdge(a, b)
-      case (cur, DataNodeIns(id, l, out, in))    => cur.insertNode(spark, id, l, out, in)
-      case (cur, DataNodeDel(id))                => cur.removeNode(id)
-    }
 
   /** Canonical driver-side form of a GPNM result for comparisons. */
   def collectResult(df: DataFrame): Map[String, Set[Long]] =

@@ -138,16 +138,4 @@ object Der {
     val PEdge(s, t, bound) = uPi.edge
     violations(spark, slenNew, ctx.matchSet(s), ctx.matchSet(t), bound, cap)._1 == 0
   }
-
-  /** DER-III (Algorithm 3): does data update `uDi` cancel the pattern-edge
-    * insertion `uPi`? Requires the coverage gate and zero violating match
-    * pairs under the *updated* SLen.
-    */
-  def typeIII(spark: SparkSession, uPi: PatEdgeIns, canPi: Set[Long], affDi: Set[Long],
-              iquery: DataFrame, slenNew: DataFrame, cap: Int): Boolean =
-    typeIIIGate(canPi, affDi) && {
-      val ms = iquery.collect().map(r => (r.getString(0), r.getLong(1)))
-        .groupBy(_._1).view.mapValues(_.map(_._2).toSet).toMap
-      cancelsUnderNewSlen(spark, uPi, Context(Map.empty, ms), slenNew, cap)
-    }
 }

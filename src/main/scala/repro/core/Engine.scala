@@ -4,10 +4,12 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.sssp.{ApspBfs, IncApsp}
 import repro.partition.PartitionedApsp
 
-/** The SLen maintenance engine: how restricted-source recomputation (after
-  * deletions) is executed. This is exactly what separates UA-GPNM from
-  * UA-GPNM-NoPar (§V): the partitioned engine runs local BFS inside
-  * combined label partitions; the global engine runs join-level BFS.
+/** The SLen maintenance engine: where BFS roots search when SLen rows are
+  * computed from scratch or recomputed after deletions. This is exactly
+  * what separates UA-GPNM from UA-GPNM-NoPar (§V): both run the same BFS
+  * kernel ([[repro.sssp.ApspBfs.run]]); the partitioned engine gives each
+  * root only its combined label partition's adjacency, the global engine
+  * the whole graph's.
   */
 final case class SlenOps(cap: Int, partitioned: Boolean) {
 
@@ -25,23 +27,23 @@ final case class SlenOps(cap: Int, partitioned: Boolean) {
 /** Application of one data update to the (graph, SLen) state. */
 object Engine {
 
-  /** Apply `u`, returning the updated graph and maintained SLen. */
+  /** Apply `u`, returning the updated graph and maintained SLen. The graph
+    * half is [[Updates.applyData]]; deletions recompute SLen rows over the
+    * post-update graph.
+    */
   def applyDataUpdate(spark: SparkSession, g: DataGraph, slen: DataFrame,
-                      u: DataUpdate, ops: SlenOps): (DataGraph, DataFrame) = u match {
-    case DataEdgeIns(a, b) =>
-      val g2 = g.insertEdge(spark, a, b)
-      (g2, IncApsp.insertEdge(slen, a, b, ops.cap))
-    case DataEdgeDel(a, b) =>
-      val g2 = g.deleteEdge(a, b)
-      (g2, IncApsp.deleteEdge(slen, a, b, ops.recompute(spark, g2)))
-    case DataNodeIns(id, label, outTo, inFrom) =>
-      val g2    = g.insertNode(spark, id, label, outTo, inFrom)
-      val base  = IncApsp.insertNode(spark, slen, id)
-      val after = (outTo.map(t => (id, t)) ++ inFrom.map(s => (s, id)))
-        .foldLeft(base) { case (s, (a, b)) => IncApsp.insertEdge(s, a, b, ops.cap) }
-      (g2, after)
-    case DataNodeDel(id) =>
-      val g2 = g.removeNode(id)
-      (g2, IncApsp.deleteNode(slen, id, ops.recompute(spark, g2)))
+                      u: DataUpdate, ops: SlenOps): (DataGraph, DataFrame) = {
+    val g2 = Updates.applyData(spark, g, u)
+    val s2 = u match {
+      case DataEdgeIns(a, b) => IncApsp.insertEdge(slen, a, b, ops.cap)
+      case DataEdgeDel(a, b) => IncApsp.deleteEdge(slen, a, b, ops.recompute(spark, g2))
+      case DataNodeIns(id, _, outTo, inFrom) =>
+        (outTo.map(t => (id, t)) ++ inFrom.map(s => (s, id)))
+          .foldLeft(IncApsp.insertNode(spark, slen, id)) {
+            case (s, (a, b)) => IncApsp.insertEdge(s, a, b, ops.cap)
+          }
+      case DataNodeDel(id) => IncApsp.deleteNode(slen, id, ops.recompute(spark, g2))
+    }
+    (g2, s2)
   }
 }

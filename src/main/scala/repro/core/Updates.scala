@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.SparkSession
+
 /** The update model of §III-C.
   *
   * `ΔG_D` may insert/delete edges and nodes of the data graph
@@ -85,4 +87,18 @@ object Updates {
   /** Apply a sequence of pattern updates in order. */
   def applyPatternAll(p: PatternGraph, us: Seq[PatternUpdate]): PatternGraph =
     us.foldLeft(p)(applyPattern)
+
+  /** Apply one data update to the graph (no SLen maintenance; that is
+    * [[Engine.applyDataUpdate]]).
+    */
+  def applyData(spark: SparkSession, g: DataGraph, u: DataUpdate): DataGraph = u match {
+    case DataEdgeIns(a, b)                 => g.insertEdge(spark, a, b)
+    case DataEdgeDel(a, b)                 => g.deleteEdge(a, b)
+    case DataNodeIns(id, l, outTo, inFrom) => g.insertNode(spark, id, l, outTo, inFrom)
+    case DataNodeDel(id)                   => g.removeNode(id)
+  }
+
+  /** Apply a sequence of data updates in order. */
+  def applyDataAll(spark: SparkSession, g: DataGraph, us: Seq[DataUpdate]): DataGraph =
+    us.foldLeft(g)(applyData(spark, _, _))
 }

@@ -54,25 +54,30 @@ object LabelPartition {
     * connected by any cross edge end up in one *combined partition*
     * (weakly-connected components of the partition-connectivity graph).
     * Returns label → component id; isolated labels map to themselves.
-    * The component graph has ≤ #labels nodes, so this runs on the driver.
     */
-  def combinedComponents(g: DataGraph): Map[String, Int] = {
-    val labels = g.nodes.select("label").distinct().collect().map(_.getString(0)).sorted
-    val pairs = crossEdges(g)
-      .select("pid", "dstPid").distinct().collect()
-      .map(r => (r.getString(0), r.getString(1)))
+  def combinedComponents(g: DataGraph): Map[String, Int] =
+    components(
+      g.nodes.select("label").distinct().collect().map(_.getString(0)),
+      crossEdges(g).select("pid", "dstPid").distinct().collect()
+        .map(r => (r.getString(0), r.getString(1))))
+
+  /** [[combinedComponents]] on the driver, from the labels and the
+    * `(srcLabel, dstLabel)` pairs of the edges (≤ #labels nodes, so
+    * union-find needs no Spark). Component ids number the components in
+    * the order of their smallest label.
+    */
+  def components(labels: Iterable[String], pairs: Iterable[(String, String)]): Map[String, Int] = {
     val parent = scala.collection.mutable.Map.from(labels.map(l => l -> l))
     def find(x: String): String = {
       var r = x
       while (parent(r) != r) r = parent(r)
       r
     }
-    def union(x: String, y: String): Unit = {
-      val (rx, ry) = (find(x), find(y))
-      if (rx != ry) parent(if (rx < ry) ry else rx) = if (rx < ry) rx else ry
+    pairs.foreach { case (a, b) =>
+      val (ra, rb) = (find(a), find(b))
+      if (ra != rb) parent(if (ra < rb) rb else ra) = if (ra < rb) ra else rb
     }
-    pairs.foreach { case (a, b) => union(a, b) }
-    val rootIds = labels.map(find).distinct.sorted.zipWithIndex.toMap
-    labels.map(l => l -> rootIds(find(l))).toMap
+    val rootIds = parent.keys.map(find).toSeq.distinct.sorted.zipWithIndex.toMap
+    parent.keys.map(l => l -> rootIds(find(l))).toMap
   }
 }

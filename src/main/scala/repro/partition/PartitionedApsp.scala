@@ -1,10 +1,8 @@
 package repro.partition
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.DataGraph
-
-import scala.collection.mutable
+import repro.sssp.ApspBfs
 
 /** Graph-partition-based shortest path length computation (§V-B,
   * Algorithms 4 and 5) — the engine that distinguishes UA-GPNM from
@@ -13,92 +11,35 @@ import scala.collection.mutable
   * Realization (DESIGN.md §3.3): Algorithm 4's recursive combination of
   * partitions reachable through bridge nodes converges to the weakly
   * connected components of the partition-connectivity graph, which we
-  * compute on the driver (≤ #labels entries). Inside each combined
-  * partition, shortest paths are exact local BFS runs executed as
-  * distributed `flatMapGroups` tasks; BFS roots are chunked so a single
-  * large combined partition still spreads across cores. Across combined
-  * partitions there are no edges, so distances are ∞ — exactly Algorithm
-  * 5's rule for partitions with no outer bridge nodes. The result equals
-  * the global APSP (Theorem 3), which tests assert against
-  * [[repro.sssp.ApspBfs]].
+  * compute on the driver (≤ #labels entries). Each BFS root then searches
+  * only its combined partition's adjacency, through the shared kernel
+  * [[repro.sssp.ApspBfs.run]]. Across combined partitions there are no
+  * edges, so distances are ∞ — exactly Algorithm 5's rule for partitions
+  * with no outer bridge nodes. The result equals the global APSP
+  * (Theorem 3), which tests assert against [[repro.core.LocalRef]].
   */
 object PartitionedApsp {
 
   /** SLen rows `(src, dst, d)` for all `src` in `sources` ("id" column),
-    * `d ≤ cap`, computed partition-wise.
-    *
-    * @param chunks number of BFS-root chunks per combined partition;
-    *               controls intra-partition parallelism.
+    * `d ≤ cap`, computed partition-wise. Sources that are not nodes of `g`
+    * have no rows.
     */
-  def fromSources(spark: SparkSession, g: DataGraph, sources: DataFrame,
-                  cap: Int, chunks: Int = 16): DataFrame = {
-    import spark.implicits._
-    val comps  = LabelPartition.combinedComponents(g)
-    val compDf = comps.toSeq.toDF("label", "comp")
-
-    val nodesC = g.nodes.join(compDf, Seq("label")).select(col("id"), col("comp"))
-    // Both endpoints of an edge share a component by construction of the
-    // combined partitions, so annotating the source suffices.
-    val edgesC = g.edges
-      .join(nodesC.withColumnRenamed("id", "src"), Seq("src"))
-      .select(col("comp"), col("src"), col("dst"))
-
-    val chunkIds = (0 until chunks).toDF("chunk")
-    val edgeRows = edgesC
-      .crossJoin(chunkIds)
-      .select(col("comp"), col("chunk"), lit(0).as("kind"), col("src").as("a"), col("dst").as("b"))
-    val sourceRows = sources
-      .select(col("id")).distinct()
-      .join(nodesC, Seq("id"))
-      .select(col("comp"), pmod(col("id"), lit(chunks)).cast("int").as("chunk"),
-              lit(1).as("kind"), col("id").as("a"), lit(0L).as("b"))
-
-    val mixed = edgeRows.union(sourceRows)
-      .as[(Int, Int, Int, Long, Long)]
-
-    val out = mixed
-      .groupByKey { case (comp, chunk, _, _, _) => (comp, chunk) }
-      .flatMapGroups { (_: (Int, Int), rows: Iterator[(Int, Int, Int, Long, Long)]) =>
-        val edges = mutable.ArrayBuffer.empty[(Long, Long)]
-        val roots = mutable.ArrayBuffer.empty[Long]
-        rows.foreach {
-          case (_, _, 0, a, b) => edges += ((a, b))
-          case (_, _, _, a, _) => roots += a
-        }
-        if (roots.isEmpty) Iterator.empty
-        else localBfs(edges.toSeq, roots.toSeq, cap)
-      }
-      .toDF("src", "dst", "d")
-    out.localCheckpoint()
+  def fromSources(spark: SparkSession, g: DataGraph, sources: DataFrame, cap: Int): DataFrame = {
+    val labelOf = g.nodes.select("id", "label").collect()
+      .map(r => r.getLong(0) -> r.getString(1)).toMap
+    val edges   = g.edges.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
+      .filter { case (a, b) => labelOf.contains(a) && labelOf.contains(b) }
+    val comp = LabelPartition.components(labelOf.values.toSet,
+                                         edges.map { case (a, b) => (labelOf(a), labelOf(b)) }.distinct)
+    // Both endpoints of an edge share a combined partition by construction,
+    // so the source's partition holds the edge.
+    val adjs = edges.groupBy { case (a, _) => comp(labelOf(a)) }
+      .view.mapValues(es => ApspBfs.adjacency(es)).toMap
+    ApspBfs.run(spark, sources,
+                v => labelOf.get(v).map(l => adjs.getOrElse(comp(l), Map.empty)), cap)
   }
 
   /** Full SLen matrix (all nodes as sources). */
-  def apsp(spark: SparkSession, g: DataGraph, cap: Int, chunks: Int = 16): DataFrame =
-    fromSources(spark, g, g.nodes.select("id"), cap, chunks)
-
-  /** Plain in-memory BFS from each root over an adjacency list; emits
-    * `(root, v, d)` for every node within `cap` hops (including the root
-    * itself at distance 0).
-    */
-  private def localBfs(edges: Seq[(Long, Long)], roots: Seq[Long],
-                       cap: Int): Iterator[(Long, Long, Int)] = {
-    val adj = mutable.HashMap.empty[Long, mutable.ArrayBuffer[Long]]
-    edges.foreach { case (s, d) => adj.getOrElseUpdate(s, mutable.ArrayBuffer.empty) += d }
-    roots.iterator.flatMap { r =>
-      val dist  = mutable.HashMap[Long, Int](r -> 0)
-      var level = mutable.ArrayBuffer(r)
-      var d     = 0
-      while (level.nonEmpty && d < cap) {
-        d += 1
-        val next = mutable.ArrayBuffer.empty[Long]
-        level.foreach { v =>
-          adj.getOrElse(v, Nil).foreach { w =>
-            if (!dist.contains(w)) { dist(w) = d; next += w }
-          }
-        }
-        level = next
-      }
-      dist.iterator.map { case (v, dd) => (r, v, dd) }
-    }
-  }
+  def apsp(spark: SparkSession, g: DataGraph, cap: Int): DataFrame =
+    fromSources(spark, g, g.nodes.select("id"), cap)
 }

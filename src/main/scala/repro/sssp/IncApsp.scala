@@ -72,13 +72,11 @@ object IncApsp {
       .select(col("src").as("id"))
       .distinct()
       .localCheckpoint()
+    // The recompute searches the post-delete graph from sources other than
+    // v, so its rows never name v.
     val without = slen.filter(col("src") =!= v && col("dst") =!= v)
-    val spliced =
-      if (affected.isEmpty) without.localCheckpoint()
-      else spliceSources(without, affected, recompute(affected))
-    // recomputed rows may still reference v if recompute ran pre-filter;
-    // guard for safety (cheap filter, usually a no-op).
-    spliced.filter(col("src") =!= v && col("dst") =!= v).localCheckpoint()
+    if (affected.isEmpty) without.localCheckpoint()
+    else spliceSources(without, affected, recompute(affected))
   }
 
   /** Replace all rows of `slen` whose `src` is in `sources` by `fresh`. */

@@ -133,7 +133,8 @@ class DerSpec extends SparkSpec {
     val s2   = IncApsp.insertEdge(IncApsp.insertEdge(slen, 2L, 3L, cap), 2L, 4L, cap)
     val aff  = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
     assert(can.subsetOf(aff))
-    assert(Der.typeIII(spark, uPi, can, aff, iqueryNoEdges, s2, cap))
+    assert(Der.typeIIIGate(can, aff))
+    assert(Der.cancelsUnderNewSlen(spark, uPi, Der.context(g, iqueryNoEdges), s2, cap))
   }
 
   test("DER-III rejects when the new SLen still violates the bound") {
@@ -142,14 +143,14 @@ class DerSpec extends SparkSpec {
     val can = Der.candidateNodes(spark, uPi, patNoEdges, g, iqueryNoEdges, slen, cap)
     val s2  = IncApsp.insertEdge(slen, 2L, 3L, cap) // 2->4 still unreachable
     val aff = Der.affectedNodes(IncApsp.changedPairs(slen, s2))
-    assert(!Der.typeIII(spark, uPi, can, aff, iqueryNoEdges, s2, cap))
+    assert(!Der.cancelsUnderNewSlen(spark, uPi, Der.context(g, iqueryNoEdges), s2, cap))
   }
 
   test("DER-III rejects when Aff does not cover Can") {
     val (_, g, slen) = world
     val uPi = PatEdgeIns(PEdge("pm", "te", 1))
     val can = Der.candidateNodes(spark, uPi, patNoEdges, g, iqueryNoEdges, slen, cap)
-    assert(!Der.typeIII(spark, uPi, can, affDi = Set(3L), iqueryNoEdges, slen, cap))
+    assert(!Der.typeIIIGate(can, affDi = Set(3L)))
   }
 
   test("Theorem 1: Can_N detection is order-invariant") {

@@ -141,7 +141,7 @@ class GenSpec extends SparkSpec {
 
   test("data updates are applicable in sequence") {
     val ups = UpdateGen.dataUpdates(snap, 3, 3, 2, 2, seed = 4)
-    val g2  = repro.bench.Harness.applyAllData(spark, g, ups)
+    val g2  = Updates.applyDataAll(spark, g, ups)
     // edges reference existing nodes after the full sequence
     val ids = g2.nodes.select(col("id"))
     assert(g2.edges.join(ids.withColumnRenamed("id", "src"), Seq("src"), "left_anti").isEmpty)
@@ -164,11 +164,5 @@ class GenSpec extends SparkSpec {
     val a = UpdateGen.patternUpdates(p, snap.labels, 2, 2, 1, 1, seed = 12)
     val b = UpdateGen.patternUpdates(p, snap.labels, 2, 2, 1, 1, seed = 12)
     assert(a == b)
-  }
-
-  test("SynthData.socialGraph facade returns the same graph") {
-    val (n2, e2) = repro.SynthData.socialGraph(spark, 200, 800, 5, 0.8, seed = 99)
-    assert(g.nodes.exceptAll(n2).isEmpty)
-    assert(g.edges.exceptAll(e2).isEmpty)
   }
 }

@@ -1,11 +1,14 @@
 package repro.partition
 
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
+import org.scalacheck.{Gen, Prop, Test => Check}
 import repro.{SparkSpec, TestKit}
-import repro.core.{DataGraph, LocalRef}
+import repro.core.{DataGraph, LocalRef, SlenOps}
 import repro.sssp.ApspBfs
 
 /** Theorem 3: the partitioned shortest-path computation equals the global
-  * APSP — verified against the join-BFS engine and the brute-force
+  * APSP — verified against the global BFS engine and the brute-force
   * reference, including restricted source sets and disconnected partitions.
   */
 class PartitionedApspSpec extends SparkSpec {
@@ -87,11 +90,36 @@ class PartitionedApspSpec extends SparkSpec {
       assert(par == LocalRef.apsp(lg.nodeIds, lg.edges, cap))
     }
 
-  test("chunking does not change the result") {
-    val lg = TestKit.randomGraph(77, n = 30, m = 100)
-    val g  = lg.toDataGraph(spark)
-    val a  = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap, chunks = 1))
-    val b  = TestKit.collectSlen(PartitionedApsp.apsp(spark, g, cap, chunks = 16))
-    assert(a == b)
+  test("property: both engines equal LocalRef on 100 random graphs") {
+    val cases = for {
+      seed      <- Gen.choose(0L, 1L << 40)
+      n         <- Gen.choose(1, 24)
+      m         <- Gen.choose(0, 3 * n)
+      labels    <- Gen.choose(1, 4)
+      homophily <- Gen.oneOf(0.0, 0.5, 0.9, 1.0)
+      cap       <- Gen.choose(1, 8)
+      sources   <- Gen.someOf(0L until n.toLong)
+    } yield (TestKit.randomGraph(seed, n, m, labels, homophily), cap, sources.toSet)
+    var split = 0 // cases whose labels form two or more combined partitions
+    val prop = Prop.forAllNoShrink(cases) { case (lg, cap, sources) =>
+      val comps = LabelPartition.components(lg.labels, lg.edges.map { case (a, b) =>
+        (lg.nodes(a.toInt)._2, lg.nodes(b.toInt)._2) })
+      if (comps.values.toSet.size >= 2) split += 1
+      val g      = lg.toDataGraph(spark)
+      val expect = LocalRef.apsp(lg.nodeIds, lg.edges, cap)
+      Prop.all(Seq(false, true).map { partitioned =>
+        val ops  = SlenOps(cap, partitioned)
+        val full = TestKit.collectSlen(ops.fullApsp(spark, g))
+        val part = TestKit.collectSlen(ops.recompute(spark, g)(sources.toSeq.toDF("id")))
+        Prop(full == expect && part == expect.filter { case ((s, _), _) => sources(s) }) :|
+          s"partitioned=$partitioned graph=$lg cap=$cap sources=$sources"
+      }: _*)
+    }
+    val params = Check.Parameters.default
+      .withMinSuccessfulTests(100).withWorkers(1).withInitialSeed(Seed(2020L))
+    val res = Check.check(params, prop)
+    assert(res.passed && res.succeeded >= 100, Pretty.pretty(res))
+    info(s"$split of ${res.succeeded} cases had two or more combined partitions")
+    assert(split >= 20, s"only $split of ${res.succeeded} cases had two or more combined partitions")
   }
 }
